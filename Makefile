@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos lockcheck lint adoclint check bench bench-smoke bench-compare bench-compress bench-paper fleet-smoke trace-demo
+.PHONY: test chaos lockcheck lint adoclint check bench bench-smoke bench-compare bench-compress bench-paper fleet-smoke e2e-smoke trace-demo
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -65,6 +65,17 @@ bench-compress:
 # (docs/OBSERVABILITY.md "Fleet mode").
 fleet-smoke:
 	$(PYTHON) benchmarks/fleet_smoke.py --smoke
+
+# The end-to-end benchmark (BENCHMARK.json), three seconds per
+# workload: every workload must run and verify its results.
+E2E_WORKLOADS := bulk-lan100 rpc-loopback depot-paced
+
+e2e-smoke:
+	@for w in $(E2E_WORKLOADS); do \
+		echo "e2e-smoke: $$w"; \
+		$(PYTHON) e2ebench/run.py --workload $$w --seed 1 --seconds 3 --trace 0 \
+			|| exit 1; \
+	done
 
 # The paper-figure benchmarks (tables/figures of RR-5500).
 bench-paper:

@@ -35,6 +35,7 @@ Semantics guaranteed (paper sections 4.1-4.2):
 
 from __future__ import annotations
 
+import logging
 import socket as _socket
 from typing import BinaryIO
 
@@ -60,6 +61,8 @@ __all__ = [
     "ADOC_MIN_LEVEL",
     "ADOC_MAX_LEVEL",
 ]
+
+_log = logging.getLogger("repro.core.api")
 
 
 class _Connection:
@@ -91,11 +94,23 @@ class _Connection:
         if receiver is not None:
             receiver.close()
         self.endpoint.close()
-        if receiver is not None:
-            # Closing the endpoint unblocks a reception thread parked in
-            # recv(); a bounded join guarantees teardown terminates even
-            # if a thread is wedged, instead of leaking it silently.
-            receiver.join(self.config.join_timeout_s)
+        if receiver is None:
+            return
+        # Closing the endpoint unblocks a reception thread parked in
+        # recv(); the join is bounded so teardown always terminates, and
+        # a thread that outlives it is reported, never dropped silently.
+        receiver.join(self.config.join_timeout_s)
+        stuck = receiver.alive_threads()
+        if stuck:
+            _log.warning(
+                "teardown: %s still running %.1fs after close",
+                ", ".join(stuck), self.config.join_timeout_s,
+            )
+            self.sender.telemetry.counter(
+                "adoc_teardown_timeouts_total",
+                "pipeline threads still alive after their bounded join",
+                ("component",),
+            ).inc(component="receiver")
 
 
 # The descriptor table.  A static, lock-protected map — the C library

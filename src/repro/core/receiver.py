@@ -402,6 +402,10 @@ class ReceiverPipeline:
         self._reader.join(timeout)
         self._decompressor.join(timeout)
 
+    def alive_threads(self) -> list[str]:
+        """Names of pipeline threads still running (after a join)."""
+        return [t.name for t in (self._reader, self._decompressor) if t.is_alive()]
+
     # -- reception thread: socket -> record queue ----------------------------
 
     def _reception_thread(self) -> None:

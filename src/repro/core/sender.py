@@ -1,87 +1,57 @@
-"""The AdOC emission pipeline: compression thread + emission thread.
+"""The blocking AdOC sender: a dispatcher thread and an emission loop.
 
-This is the sending half of Figure 1 of the paper.  One ``adoc_write``
-(or ``adoc_send_file``) call maps to one *message* on the wire and runs
-the following decision ladder (sections 3 and 5):
+The sending half of Figure 1, as a thin driver of the send core
+(:mod:`repro.core.sendcore`), which decides the path, each buffer's
+level, degradation and the divergence windows.  This module moves the
+bytes: small messages go out as one vectored send and the probe as a
+timed raw send, both from the calling thread; the pipeline runs a
+**dispatcher** thread that reads ``buffer_size`` buffers, hands each to
+a codec executor at the core's level and drains completions — in
+submission order — into the FIFO packet queue, which the calling
+thread's **emission loop** drains into the socket.
 
-1. **Small messages** (< 512 KB, compression not forced): written raw,
-   inline, without starting any thread — latency equals plain write.
-2. **Bandwidth probe**: the first 256 KB of a large message is sent raw
-   while being timed; if the apparent link speed exceeds 500 Mbit/s the
-   network is "very fast" and the rest is sent raw too.
-3. **Adaptive pipeline**: a compression thread splits the remaining
-   input into 200 KB buffers, re-evaluating the compression level
-   before each one (Figure 2 + divergence guard + incompressible
-   guard), and pushes framed 8 KB packets into the FIFO queue; the
-   emission loop (running in the calling thread) drains the queue into
-   the socket and feeds per-level visible-bandwidth observations back
-   to the divergence guard.
+The executor is the process-wide shared codec pool
+(``AdocConfig.compress_workers``), so N buffers compress on N cores
+with a byte-identical wire; or a synchronous executor — the paper's
+single compression thread — for ``compress_workers=0``, for messages
+shorter than :data:`_MIN_POOLED_BUFFERS` buffers, and after the pool
+closes mid-message.
 
-By default the compression stage runs on the process-wide shared codec
-pool (``AdocConfig.compress_workers``): the compression thread becomes a
-dispatcher that keeps a window of buffers in flight across the
-:class:`~repro.serve.pool.WorkerPool` workers and drains their
-completions — in submission order, whichever worker finishes first —
-into the FIFO, so N buffers compress concurrently while the wire stays
-byte-identical to the single-threaded path.  ``compress_workers=0``
-restores the paper's original one-buffer-at-a-time compression thread.
-
-Forcing compression (``min_level > 0``) skips steps 1 and 2 — that is
-what the paper's Table 2 "AdOC with forced compression" column
-measures: the full thread/queue/mutex start-up cost on a tiny message.
-Disabling compression (``max_level == 0``) short-circuits to raw.
-
-Every entry point feeds one streaming engine (:meth:`_send_source`)
-through a :class:`~repro.core.sources.ChunkSource`: in-memory payloads
-become zero-copy ``memoryview`` slices, seekable files stream in
-``buffer_size`` chunks under a known-length header, and pipes stream as
-END-terminated unknown-length messages.  Peak resident payload is
-O(buffer_size) regardless of message size, and the hot path never
-copies payload bytes: record headers ride as packet *prefixes* and the
-emission loop coalesces queued packets into vectored sends
-(:func:`~repro.transport.base.sendall_vectors`).
-
-The wire format is unchanged — a packet is ``prefix + payload`` and the
-receiver sees the same byte stream the pre-streaming sender produced
-(pinned by the golden fixtures in ``tests/golden``).  The only visible
-shift is internal accounting: packets now hold ``packet_size`` payload
-bytes plus the 9-byte header prefix (the header no longer displaces
-payload from the first packet), so queue lengths — a heuristic signal
-to the adapter — can differ by one packet per record from the old
-serialization.
+Any :class:`~repro.core.sources.ChunkSource` feeds the engine (zero-copy
+views of in-memory payloads, bounded file chunks, END-terminated pipes),
+so peak resident payload is O(buffer_size).  Record headers ride as
+packet *prefixes* and queued packets are coalesced into vectored sends,
+so the hot path never copies payload bytes.  ``tests/golden`` pins the
+wire.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, BinaryIO, Callable
 
 from ..analysis.lockgraph import make_condition, make_lock
 from ..obs.telemetry import Telemetry, resolve_telemetry
-from ..transport.base import Endpoint, TransportTimeout, sendall, sendall_vectors
-from .adaptation import LevelAdapter
+from ..transport.base import Endpoint, TransportTimeout, sendall_vectors
 from .compressor import compress_buffer
 from .config import AdocConfig, DEFAULT_CONFIG
 from .deadlines import DeadlineExceeded, TransferError
-from .divergence import DivergenceGuard
 from .fifo import PacketQueue, QueueClosed, QueuedPacket
-from .guards import IncompressibleGuard
-from .packets import Record, end_record_bytes, pack_message_header
-from .sources import BytesSource, ChunkSource, source_for_stream, stream_size
+from .sendcore import (
+    BYPASS,
+    PROBE,
+    SendCore,
+    SendMessage,
+    SendResult,
+    raw_message_vectors,
+    raw_record_vectors,
+)
+from .sources import BytesSource, ChunkSource, source_for_stream
 from .stats import ConnectionStats
 
-__all__ = [
-    "SendResult",
-    "MessageSender",
-    "packetize_record",
-    "raw_message_vectors",
-]
-
-_log = logging.getLogger("repro.core.sender")
+__all__ = ["SendResult", "MessageSender", "raw_message_vectors"]
 
 #: Upper bound on packets coalesced into one vectored send.  Each
 #: packet contributes at most two vectors (prefix + payload), so a
@@ -89,159 +59,77 @@ _log = logging.getLogger("repro.core.sender")
 #: the per-send cost across a full queue burst.
 _MAX_BATCH = 64
 
-#: A known-length message shorter than this many buffers compresses
-#: inline even when pooling is enabled: with fewer buffers than a
-#: worker window there is nothing to overlap, and the pool's hand-off
-#: latency would only distort the adaptation signal.
+#: A known-length message shorter than this many buffers compresses on
+#: the synchronous executor even when pooling is enabled: with fewer
+#: buffers than a worker window there is nothing to overlap, and the
+#: pool's hand-off gaps would let the emission side drain the queue
+#: between buffers, distorting the Figure-2 signal for messages too
+#: short to ever reach steady state.
 _MIN_POOLED_BUFFERS = 4
 
 
-def packetize_record(
-    rec: Record,
-    cfg: AdocConfig,
-    emit: Callable[[QueuedPacket], None],
-    buffer_id: int = 0,
-) -> None:
-    """Split one record into packet-size slices, header as first prefix.
+class _SyncExecutor:
+    """Runs each codec job in the submitting thread, then reports it."""
 
-    The 9-byte record header rides on the first packet's ``prefix``
-    instead of being copied into a serialized buffer; payload slices
-    stay views of the record's payload.  Original bytes are attributed
-    to slices pro rata, remainder to the last slice, so per-level
-    bandwidth accounting sums exactly.
+    workers = 0
 
-    ``emit`` receives each packet in wire order: the blocking engine
-    passes a bounded ``PacketQueue.put``, the readiness-driven engine
-    (:mod:`repro.serve.channel`) appends to its write backlog — both
-    produce byte-identical wire output.
-    """
-    payload = rec.payload
-    n = len(payload)
-    prefix = rec.header_bytes()
-    if n == 0:
-        emit(QueuedPacket(b"", rec.level, 0, buffer_id, prefix))
-        return
-    assigned = 0
-    for off in range(0, n, cfg.packet_size):
-        chunk = payload[off : off + cfg.packet_size]
-        if off + len(chunk) >= n:
-            orig = rec.original_size - assigned
-        else:
-            orig = rec.original_size * len(chunk) // n
-        assigned += orig
-        emit(QueuedPacket(chunk, rec.level, orig, buffer_id, prefix))
-        prefix = b""
+    def submit(self, fn: Callable[..., Any], *args: Any, on_done) -> None:
+        try:
+            result = fn(*args)
+        except Exception as exc:  # adoclint: disable=ADOC106 -- graceful degradation by design: the failure goes to on_done, the core ships the buffer raw and SendResult.degraded reports it
+            on_done(None, exc)
+            return
+        on_done(result, None)
 
 
-def raw_message_vectors(
-    data: bytes | bytearray | memoryview,
-) -> list[bytes | memoryview]:
-    """Frame one in-memory payload as a raw (level-0) message.
-
-    Returns the wire as vectors — message header, record header,
-    payload view — without copying the payload: the same bytes the
-    blocking engine's small-message bypass emits.  Used by the
-    readiness-driven engine, where small messages are framed inline on
-    the loop thread and only large ones visit the compression pool.
-    """
-    total = len(data)
-    header = pack_message_header(total, length_known=True)
-    if total == 0:
-        return [header]
-    view = data if isinstance(data, memoryview) else memoryview(data)
-    return [header, Record(0, total, view).header_bytes(), view]
+_SYNC = _SyncExecutor()
 
 
-@dataclass
-class SendResult:
-    """What one message send did — returned by :meth:`MessageSender.send`.
-
-    ``wire_bytes`` is the paper's ``*slen`` out-parameter: bytes that
-    actually crossed the wire (headers included), so the achieved
-    compression ratio is ``payload_bytes / wire_bytes``.
-    """
-
-    payload_bytes: int
-    wire_bytes: int
-    elapsed_s: float
-    pipeline_used: bool = False
-    probe_bps: float | None = None
-    fast_path: bool = False
-    levels_used: dict[int, int] = field(default_factory=dict)
-    guard_trips: int = 0
-    #: True when a codec failure forced the stream down to raw
-    #: (level 0) mid-message — the payload still arrived intact.
-    degraded: bool = False
-
-    @property
-    def compression_ratio(self) -> float:
-        if self.wire_bytes == 0:
-            return 1.0
-        return self.payload_bytes / self.wire_bytes
-
-
-class _CompletionFIFO:
-    """Hand-off of in-order pool completions to the dispatcher thread.
+class _Completions:
+    """Codec completions, handed to the dispatcher by buffer id.
 
     Pushers are pool workers and must never block (a slow connection
-    must not stall the shared pool), so the queue is unbounded — its
-    depth is implicitly capped by the dispatcher's in-flight window.
-    The popping dispatcher bounds its wait with ``timeout``; the lock is
-    a leaf (no other lock is ever acquired while it is held).
+    must not stall the shared pool), so the store is unbounded — its
+    size is capped by the core's in-flight window.  The popping
+    dispatcher bounds its wait with ``timeout``; the lock is a leaf.
     """
 
     def __init__(self) -> None:
         self._lock = make_lock("sender.completions.lock")
         self._ready = make_condition(self._lock, "sender.completions.ready")
-        self._items: deque[tuple] = deque()
+        self._items: dict[int, tuple] = {}
 
-    def push(self, item: tuple) -> None:
+    def done(self, buffer_id, buf, level, mode, outcome, error) -> None:
+        """A codec ``on_done`` callback, its job's details bound first."""
         with self._lock:
-            self._items.append(item)
+            self._items[buffer_id] = (buf, level, outcome, error, mode)
             self._ready.notify()
 
-    def pop(self, timeout: float | None) -> tuple:
-        give_up = None if timeout is None else time.monotonic() + timeout
+    def pop(self, buffer_id: int, timeout: float | None) -> tuple:
         with self._lock:
-            while not self._items:
-                if give_up is None:
-                    self._ready.wait()
-                else:
-                    remaining = give_up - time.monotonic()
-                    if remaining <= 0:
-                        raise DeadlineExceeded(
-                            "pooled compression result overdue",
-                            stage="compress",
-                        )
-                    self._ready.wait(remaining)
-            return self._items.popleft()
+            if not self._ready.wait_for(lambda: buffer_id in self._items, timeout):
+                raise DeadlineExceeded("compression result overdue", stage="compress")
+            return self._items.pop(buffer_id)
 
     def drain(self, count: int, timeout: float) -> None:
-        """Discard up to ``count`` completions, bounded by ``timeout``.
+        """Wait (bounded) until ``count`` outstanding jobs have reported.
 
-        Failure-path helper: waits for in-flight jobs so the borrowed
-        buffers their closures hold are released before the send call
-        unwinds.  Gives up quietly at the deadline — the jobs run on
-        daemon threads and the process is tearing the message down
-        anyway.
+        Failure-path helper: the borrowed buffers those jobs hold must
+        be released before the send call unwinds.  Gives up quietly at
+        the deadline — the jobs run on daemon threads and the message
+        is being torn down anyway.
         """
-        give_up = time.monotonic() + timeout
-        for _ in range(count):
-            remaining = give_up - time.monotonic()
-            if remaining <= 0:
-                return
-            try:
-                self.pop(remaining)
-            except DeadlineExceeded:
-                return
+        with self._lock:
+            self._ready.wait_for(lambda: len(self._items) >= count, timeout)
+            self._items.clear()
 
 
 class MessageSender:
     """Sends messages over one endpoint with AdOC semantics.
 
-    One instance per connection: the divergence guard's per-level
-    bandwidth records persist across messages, exactly as the C
-    library's per-descriptor state does.
+    One instance per connection: its :class:`SendCore` keeps the
+    divergence guard's per-level bandwidth records across messages,
+    exactly as the C library's per-descriptor state does.
     """
 
     def __init__(
@@ -253,7 +141,8 @@ class MessageSender:
         self.endpoint = endpoint
         self.config = config
         self.clock = clock
-        self.divergence = DivergenceGuard(config.divergence_forbid_s)
+        self.core = SendCore(config, clock)
+        self.divergence = self.core.divergence
         self.telemetry: Telemetry = resolve_telemetry(config)
         self.stats = ConnectionStats(self.telemetry)
         if self.telemetry.enabled:
@@ -297,182 +186,69 @@ class MessageSender:
         if cfg.io_timeout_s is not None and hasattr(self.endpoint, "settimeout"):
             self.endpoint.settimeout(cfg.io_timeout_s)
         try:
-            return self._send_source_impl(source, cfg)
+            return self._send_message(source, self.core.begin(source.length, cfg))
         except TransportTimeout as exc:
             raise DeadlineExceeded(
                 f"send stalled past {cfg.io_timeout_s}s: {exc}", stage="send"
             ) from exc
 
-    def _send_source_impl(self, source: ChunkSource, cfg: AdocConfig) -> SendResult:
-        """The unified decision ladder."""
-        start = self.clock()
-        total = source.length
-
-        if total is None:
-            # Unknown length: no bypass, no probe (there is nothing to
-            # slice a probe from without buffering), END-terminated.
-            header = pack_message_header(0, length_known=False)
-            sendall(self.endpoint, header)
-            result, consumed = self._run_pipeline(source, cfg, remaining=None)
-            end = end_record_bytes()
-            sendall(self.endpoint, end)
-            result.payload_bytes = consumed
-            result.wire_bytes += len(header) + len(end)
-            result.elapsed_s = self.clock() - start
-            return result
-
-        header = pack_message_header(total, length_known=True)
-        if self._should_bypass(total, cfg):
-            wire = self._send_raw(header, source, total, cfg)
-            return SendResult(total, wire, self.clock() - start)
-
-        wire_bytes = len(header)
-        sendall(self.endpoint, header)
-        probe_bps: float | None = None
-        if not cfg.compression_forced:
-            probe_bps, probe_wire = self._probe(source, total, cfg)
-            wire_bytes += probe_wire
-            if probe_bps > cfg.fast_network_bps:
-                # Very fast network: ship the rest raw.
-                wire_bytes += self._send_raw_records(source, cfg)
-                return SendResult(
-                    total,
-                    wire_bytes,
-                    self.clock() - start,
-                    probe_bps=probe_bps,
-                    fast_path=True,
-                )
-
-        result, _ = self._run_pipeline(source, cfg, remaining=total)
-        result.payload_bytes = total
-        result.wire_bytes += wire_bytes
-        result.elapsed_s = self.clock() - start
-        result.probe_bps = probe_bps
-        return result
-
-    # -- fast paths ----------------------------------------------------------
-
-    def _should_bypass(self, total: int, cfg: AdocConfig) -> bool:
-        if cfg.compression_disabled:
-            return True
-        if cfg.compression_forced:
-            return False
-        return total < cfg.small_message_threshold
-
-    def _send_raw(self, header: bytes, source: ChunkSource, total: int, cfg: AdocConfig) -> int:
-        """Inline raw send of a whole message (no threads).
-
-        Zero-copy sources cover the message with a single record, the
-        header and payload going out as one vectored send.  Chunked
-        sources (files) are streamed as ``buffer_size`` records so peak
-        memory stays bounded — protocol-equivalent, since records simply
-        sum to ``total``.
-        """
-        if total == 0:
-            sendall(self.endpoint, header)
-            return len(header)
-        if source.zero_copy:
-            payload = source.read(total)
-            rec = Record(0, total, payload)
-            return sendall_vectors(
-                self.endpoint, [header, rec.header_bytes(), payload]
+    def _send_message(self, source: ChunkSource, msg: SendMessage) -> SendResult:
+        """Drive the core's ladder for one message."""
+        cfg = msg.config
+        if msg.path == BYPASS and source.zero_copy:
+            # The whole message in one vectored send: no thread, no copy.
+            vectors = raw_record_vectors(source.read(msg.total))
+            msg.wire_bytes += sendall_vectors(self.endpoint, [msg.header, *vectors])
+            return msg.finish()
+        msg.wire_bytes += sendall_vectors(self.endpoint, [msg.header])
+        if msg.path == BYPASS:
+            msg.wire_bytes += self._send_raw(source, cfg.buffer_size)
+            return msg.finish()
+        if msg.path == PROBE:
+            probe = source.read_exact(msg.probe_bytes)
+            t0 = self.clock()
+            msg.wire_bytes += sendall_vectors(
+                self.endpoint, raw_record_vectors(probe, cfg.buffer_size)
             )
-        wire = len(header)
-        sendall(self.endpoint, header)
-        while True:
-            chunk = source.read(cfg.buffer_size)
-            if not len(chunk):
-                break
-            rec = Record(0, len(chunk), chunk)
-            wire += sendall_vectors(self.endpoint, [rec.header_bytes(), chunk])
-        return wire
+            if msg.probe_done(len(probe), self.clock() - t0):
+                # Very fast network: ship the rest raw.  Record
+                # boundaries continue from the probe offset.
+                msg.wire_bytes += self._send_raw(source, cfg.buffer_size)
+                return msg.finish()
+        consumed = self._run_pipeline(source, msg)
+        if msg.trailer:
+            msg.wire_bytes += sendall_vectors(self.endpoint, [msg.trailer])
+        return msg.finish(consumed)
 
-    def _probe(self, source: ChunkSource, total: int, cfg: AdocConfig) -> tuple[float, int]:
-        """Send the first ``probe_size`` bytes raw, timing them.
-
-        The sender has no feedback channel, so the estimate is
-        write-side only: how fast the link accepts bytes.  For that to
-        reflect the line rate the probe must exceed the send-buffer
-        capacity, which 256 KB does on the kernels the paper targets.
-        """
-        probe = source.read_exact(min(cfg.probe_size, total))
-        t0 = self.clock()
-        wire = self._emit_raw_chunked(probe, cfg)
-        elapsed = max(self.clock() - t0, 1e-9)
-        # The probe is itself a measured level-0 transfer: feed it to
-        # the divergence guard as two windows so raw throughput has a
-        # trusted record even when the queue never empties (a slow
-        # receiver keeps it full, and without level-0 evidence the
-        # guard could never fall back to "stop compressing").
-        self.divergence.observe(0, len(probe) // 2, elapsed / 2)
-        self.divergence.observe(0, len(probe) - len(probe) // 2, elapsed / 2)
-        return len(probe) * 8.0 / elapsed, wire
-
-    def _send_raw_records(self, source: ChunkSource, cfg: AdocConfig) -> int:
-        """Fast path: stream the rest of the source as raw records.
-
-        Record boundaries continue sequentially from the source cursor
-        (the probe offset), exactly as the resident-buffer sender
-        chunked ``data[offset:]`` — intentionally not re-aligned to a
-        global buffer grid.
-        """
+    def _send_raw(self, source: ChunkSource, size: int) -> int:
+        """Send the rest of ``source`` as raw records of up to ``size``."""
         wire = 0
-        while True:
-            chunk = source.read(cfg.buffer_size)
-            if not len(chunk):
-                break
-            rec = Record(0, len(chunk), chunk)
-            wire += sendall_vectors(self.endpoint, [rec.header_bytes(), chunk])
-        return wire
-
-    def _emit_raw_chunked(self, data: bytes | memoryview, cfg: AdocConfig) -> int:
-        """Emit one resident span as raw records chunked at buffer size."""
-        wire = 0
-        for off in range(0, len(data), cfg.buffer_size):
-            chunk = data[off : off + cfg.buffer_size]
-            rec = Record(0, len(chunk), chunk)
-            wire += sendall_vectors(self.endpoint, [rec.header_bytes(), chunk])
+        while len(chunk := source.read(size)):
+            wire += sendall_vectors(self.endpoint, raw_record_vectors(chunk))
         return wire
 
     # -- the adaptive pipeline -----------------------------------------------
 
-    def _run_pipeline(
-        self,
-        source: ChunkSource,
-        cfg: AdocConfig,
-        remaining: int | None = None,
-    ) -> tuple[SendResult, int]:
-        """Compression thread + emission loop over the source's remainder.
+    def _run_pipeline(self, source: ChunkSource, msg: SendMessage) -> int:
+        """Dispatcher thread + emission loop over the source's remainder.
 
-        Returns ``(result, consumed_bytes)`` where ``consumed_bytes`` is
-        how much payload the pipeline pulled from the source (the whole
-        message for unknown-length sends, the post-probe remainder
-        otherwise).  ``remaining`` is a size hint (``None`` = unknown)
-        used to decide whether pooled compression is worth engaging.
+        Returns how much payload the pipeline pulled from the source.
         """
+        cfg = msg.config
         tele = resolve_telemetry(cfg)
         queue: PacketQueue = PacketQueue(cfg.queue_capacity, tele, "send")
-        inc_guard = IncompressibleGuard(
-            cfg.incompressible_ratio, cfg.incompressible_holdoff
-        )
-        adapter = LevelAdapter(cfg, self.divergence, inc_guard, tele)
         error: list[BaseException] = []
         consumed = [0]
-        degraded = [False]
-
         worker = threading.Thread(
-            target=self._compression_thread,
-            args=(
-                source, cfg, queue, adapter, inc_guard, error, consumed,
-                degraded, tele, remaining,
-            ),
+            target=self._dispatch,
+            args=(source, msg, queue, error, consumed, tele),
             name="adoc-compress",
             daemon=True,
         )
         worker.start()
         try:
             with tele.span("emit"):
-                result = self._emission_loop(queue, cfg)
+                self._emission_loop(queue, msg)
         except BaseException as exc:
             # The emission loop already closed the queue; the worker
             # unblocks on QueueClosed.  Bound the join so the failure
@@ -501,398 +277,144 @@ class MessageSender:
                     f"compression side stalled: {exc}", stage="send"
                 ) from exc
             raise exc
-        result.pipeline_used = True
-        result.guard_trips = inc_guard.trips
-        result.degraded = degraded[0]
-        return result, consumed[0]
+        return consumed[0]
 
-    def _compression_thread(
+    def _dispatch(
         self,
         source: ChunkSource,
-        cfg: AdocConfig,
+        msg: SendMessage,
         queue: PacketQueue,
-        adapter: LevelAdapter,
-        inc_guard: IncompressibleGuard,
         error: list[BaseException],
         consumed: list[int],
-        degraded: list[bool],
         tele: Telemetry,
-        remaining: int | None = None,
     ) -> None:
+        """Keep the core's window of buffers at the codec; emit in order.
+
+        Backpressure blocks *this* thread when it enqueues packets,
+        never a pool worker, so a slow connection cannot stall other
+        connections' codec work.  If the shared pool is closed
+        mid-message (process shutdown racing a transfer), the message
+        finishes on the synchronous executor.
+        """
+        cfg = msg.config
+        timeout = cfg.io_timeout_s
+        completions = _Completions()
+        stream_key = object()  # per-message identity for in-order delivery
         try:
+            executor = self._executor(cfg, msg.total)
+            msg.start_pipeline(executor.workers)
             with tele.span("compress"):
-                pool = self._resolve_pool(cfg, remaining)
-                if pool is not None:
-                    self._pooled_compression(
-                        source, cfg, queue, adapter, inc_guard, consumed,
-                        degraded, tele, pool,
-                    )
-                else:
-                    self._inline_compression(
-                        source, cfg, queue, adapter, inc_guard, consumed,
-                        degraded, tele,
-                    )
+                while True:
+                    while executor is not None and msg.can_submit():
+                        executor = self._submit_next(
+                            source, msg, queue, consumed, executor,
+                            completions, stream_key,
+                        )
+                    if msg.inflight == 0:
+                        break
+                    # complete() takes the buffer out of flight before
+                    # its packets are enqueued: if the enqueue fails,
+                    # the drain below waits only for jobs outstanding.
+                    bid = msg.next_completion
+                    records = msg.complete(bid, *completions.pop(bid, timeout))
+                    for pkt in msg.packets(records, bid):
+                        queue.put(pkt, timeout)
+                    records = pkt = None  # hold no buffer during the next one
         except QueueClosed:
             pass  # emission side failed; it carries the real error
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             error.append(exc)
         finally:
+            # A dead message's borrowed input buffers, still held by
+            # in-flight jobs, must not outlive the send call (the caller
+            # may reuse them the moment it returns): wait, bounded.
+            if msg.inflight:
+                completions.drain(msg.inflight, cfg.join_timeout_s)
             queue.close()
 
-    def _resolve_pool(self, cfg: AdocConfig, remaining: int | None):
-        """The shared codec pool to compress on, or ``None`` for inline.
+    def _submit_next(
+        self,
+        source: ChunkSource,
+        msg: SendMessage,
+        queue: PacketQueue,
+        consumed: list[int],
+        executor: Any,
+        completions: _Completions,
+        stream_key: object,
+    ) -> Any:
+        """Hand the source's next buffer to the codec at the core's level.
+
+        Returns the executor for the buffers after it — the synchronous
+        one once the shared pool has closed — or ``None`` at the end of
+        the source.
+        """
+        cfg = msg.config
+        buf = source.read(cfg.buffer_size)
+        if not len(buf):
+            return None
+        consumed[0] += len(buf)
+        bid, level = msg.submit(len(buf), queue.size())
+        job = (compress_buffer, buf, level, msg.guard, cfg)
+        done = partial(completions.done, bid, buf, level)
+        if executor is not _SYNC:
+            from ..serve.pool import PoolClosed  # serve sits above core
+
+            try:
+                executor.submit(
+                    *job, key=stream_key, on_done=partial(done, "pooled"),
+                    timeout=cfg.io_timeout_s,
+                )
+                return executor
+            except PoolClosed:
+                msg.one_at_a_time()
+        _SYNC.submit(*job, on_done=partial(done, "inline"))
+        return _SYNC
+
+    def _executor(self, cfg: AdocConfig, total: int | None) -> Any:
+        """The shared codec pool, or the synchronous executor.
 
         ``compress_workers=0`` opts out (the paper's original two-thread
         pipeline); a compression-disabled stream is all raw records, so
-        pooling would be pure overhead.  Short pipelines stay inline
-        too: pooling pays per-buffer hand-off latency to buy overlap,
-        which only exists when there are several buffers to overlap —
-        and the hand-off gaps would let the emission side drain the
-        queue between buffers, distorting the Figure-2 signal for
-        messages too short to ever reach steady state.  Unknown-length
-        sources (pipes) take the pooled path: they are open-ended
+        pooling would be pure overhead; short known-length messages
+        stay synchronous too (see :data:`_MIN_POOLED_BUFFERS`).
+        Unknown-length sources (pipes) are pooled: they are open-ended
         streams.  The import is lazy because :mod:`repro.serve` sits
-        above this module in the package graph (its channels import the
-        sender's framing helpers).
+        above this module in the package graph.
         """
         if cfg.compress_workers == 0 or cfg.compression_disabled:
-            return None
-        if remaining is not None and remaining < _MIN_POOLED_BUFFERS * cfg.buffer_size:
-            return None
+            return _SYNC
+        if total is not None and total < _MIN_POOLED_BUFFERS * cfg.buffer_size:
+            return _SYNC
         from ..serve.pool import shared_pool
 
         return shared_pool(cfg.compress_workers)
 
-    def _inline_compression(
-        self,
-        source: ChunkSource,
-        cfg: AdocConfig,
-        queue: PacketQueue,
-        adapter: LevelAdapter,
-        inc_guard: IncompressibleGuard,
-        consumed: list[int],
-        degraded: list[bool],
-        tele: Telemetry,
-        buffer_id: int = 0,
-        first_buf: bytes | memoryview | None = None,
-    ) -> None:
-        """The paper's single compression thread: one buffer at a time.
+    def _emission_loop(self, queue: PacketQueue, msg: SendMessage) -> None:
+        """Drain the queue into the socket, reporting each packet.
 
-        ``first_buf`` lets the pooled path hand over a buffer it had
-        already pulled from the source when it fell back mid-message.
+        Packets already queued under the same (buffer, level) window are
+        coalesced into one vectored send (up to :data:`_MAX_BATCH`
+        packets), so a burst of framed packets costs one syscall
+        instead of one per packet.
         """
-        while True:
-            level = adapter.next_level(queue.size(), self.clock())
-            if cfg.compression_disabled or degraded[0]:
-                level = 0
-            if first_buf is not None:
-                buf, first_buf = first_buf, None
-            else:
-                buf = source.read(cfg.buffer_size)
-                if not len(buf):
-                    break
-                consumed[0] += len(buf)
-            try:
-                outcome: tuple[list[Record], bool] | None = compress_buffer(
-                    buf, level, inc_guard, cfg
-                )
-                err: BaseException | None = None
-            except Exception as exc:  # adoclint: disable=ADOC106 -- graceful degradation by design: the codec failure is absorbed, the buffer ships raw, and SendResult.degraded reports it; re-raising would kill a recoverable message
-                outcome, err = None, exc
-            records = self._records_from_outcome(
-                buf, buffer_id, level, outcome, err, degraded, tele, "inline"
-            )
-            for rec in records:
-                self._enqueue_record(rec, cfg, queue, inc_guard, buffer_id)
-            buffer_id += 1
-
-    def _pooled_compression(
-        self,
-        source: ChunkSource,
-        cfg: AdocConfig,
-        queue: PacketQueue,
-        adapter: LevelAdapter,
-        inc_guard: IncompressibleGuard,
-        consumed: list[int],
-        degraded: list[bool],
-        tele: Telemetry,
-        pool: Any,
-    ) -> None:
-        """Dispatch buffers to the shared codec pool, emit in order.
-
-        This thread becomes a *dispatcher*: it keeps a bounded window of
-        buffers in flight on the pool (so N buffers compress on N cores)
-        and drains their completions — delivered strictly in submission
-        order by the pool's per-key FIFO reinsertion — into the packet
-        queue.  The wire is byte-identical to the inline path: same
-        buffers, same per-buffer level decision, same records, same
-        order.
-
-        Two properties the paper's adaptation depends on are preserved:
-
-        * the Figure-2 signal keeps its meaning.  The paper's queue
-          length counts everything the sender has committed to the wire
-          that the network has not yet drained; when buffer *k*'s level
-          is decided inline, buffers ``0..k-1`` have all been compressed
-          and their packets sit in (or have left) the queue.  Pooling
-          breaks that invariant: buffers still on a codec worker have
-          produced nothing yet, so the bare queue under-reads by a
-          window's worth of output — successive submissions would see an
-          unchanged queue, read ``delta == 0``, and Figure 2's ``n < 10``
-          rule would halve the level forever.  The dispatcher therefore
-          adds the in-flight buffers' packet count (at their raw
-          packetization — their compressed size is not known yet, so
-          this is a documented upper bound) to the queue length before
-          each decision.  Decisions stay one-per-input-buffer, exactly
-          the paper's cadence.  The window also *slow-starts* — one
-          buffer in flight at first, +1 per drained completion up to
-          the cap — so cold-start decisions are never a full window
-          ahead of the evidence.  The emission loop's per-(buffer,
-          level) bandwidth observations are unchanged, so the
-          divergence guard sees exactly the data it saw before;
-        * queue backpressure blocks *this* thread (when it enqueues
-          completed records), never a pool worker — a slow connection
-          cannot stall other connections' codec work.
-
-        A codec failure inside a job degrades exactly like inline: the
-        failed buffer ships raw and subsequent *submissions* are pinned
-        to level 0 (buffers already in flight at a higher level still
-        emit compressed — they compressed fine).  If the shared pool is
-        closed mid-message (process shutdown racing a transfer), the
-        in-flight window is drained and the message finishes inline.
-        """
-        from ..serve.pool import PoolClosed
-
-        completions = _CompletionFIFO()
-        stream_key = object()  # per-message identity for in-order delivery
-        window_cap = max(2, 2 * pool.workers)
-        window = 1  # slow-start: grows +1 per drained completion
-        inflight = 0
-        buffer_id = 0
-        next_emit = 0
-        exhausted = False
-        # Packets the in-flight jobs will add to the queue (raw upper
-        # bound); part of the Figure-2 signal — see the docstring.
-        pending_packets = 0
-        packet_size = cfg.packet_size
-        try:
-            while not exhausted or inflight:
-                while inflight < window and not exhausted:
-                    level = adapter.next_level(
-                        queue.size() + pending_packets, self.clock()
-                    )
-                    if cfg.compression_disabled or degraded[0]:
-                        level = 0
-                    buf = source.read(cfg.buffer_size)
-                    if not len(buf):
-                        exhausted = True
-                        break
-                    consumed[0] += len(buf)
-                    pending_packets += -(-len(buf) // packet_size)
-
-                    def on_done(
-                        result: Any,
-                        err: BaseException | None,
-                        _buf: bytes | memoryview = buf,
-                        _bid: int = buffer_id,
-                        _level: int = level,
-                    ) -> None:
-                        # Runs on a pool worker; must never block.
-                        completions.push((_buf, _bid, _level, result, err))
-
-                    try:
-                        pool.submit(
-                            compress_buffer, buf, level, inc_guard, cfg,
-                            key=stream_key, on_done=on_done,
-                            timeout=cfg.io_timeout_s,
-                        )
-                    except PoolClosed:
-                        # Drain what is in flight (their completions
-                        # still arrive in order), then finish the
-                        # message inline starting from this buffer.
-                        while inflight:
-                            item = completions.pop(cfg.io_timeout_s)
-                            inflight -= 1
-                            pending_packets -= -(-len(item[0]) // packet_size)
-                            next_emit = self._emit_completion(
-                                item, cfg, queue, inc_guard, degraded,
-                                tele, next_emit,
-                            )
-                        self._inline_compression(
-                            source, cfg, queue, adapter, inc_guard,
-                            consumed, degraded, tele, buffer_id, buf,
-                        )
-                        return
-                    inflight += 1
-                    buffer_id += 1
-                if inflight == 0:
-                    break
-                # Decrement *before* emitting: once the completion is
-                # popped it no longer counts as in flight, and the
-                # enqueue below may raise (QueueClosed when the emission
-                # loop died) — the failure drain below must then wait
-                # only for completions still genuinely outstanding, not
-                # block join_timeout_s on one that was already consumed.
-                item = completions.pop(cfg.io_timeout_s)
-                inflight -= 1
-                pending_packets -= -(-len(item[0]) // packet_size)
-                next_emit = self._emit_completion(
-                    item, cfg, queue, inc_guard, degraded, tele, next_emit,
-                )
-                if window < window_cap:
-                    window += 1
-        except BaseException:
-            # The message is dead (emission failed, deadline, …).  The
-            # borrowed input buffers captured by in-flight jobs must not
-            # outlive the send call (the caller may reuse them the
-            # moment it returns), so wait — bounded — for the stragglers
-            # before unwinding.
-            completions.drain(inflight, cfg.join_timeout_s)
-            raise
-
-    def _emit_completion(
-        self,
-        item: tuple,
-        cfg: AdocConfig,
-        queue: PacketQueue,
-        inc_guard: IncompressibleGuard,
-        degraded: list[bool],
-        tele: Telemetry,
-        next_emit: int,
-    ) -> int:
-        """Enqueue the records of one popped in-order completion."""
-        buf, bid, level, outcome, err = item
-        assert bid == next_emit, f"pool delivered buffer {bid}, expected {next_emit}"
-        records = self._records_from_outcome(
-            buf, bid, level, outcome, err, degraded, tele, "pooled"
-        )
-        for rec in records:
-            self._enqueue_record(rec, cfg, queue, inc_guard, bid)
-        return next_emit + 1
-
-    def _records_from_outcome(
-        self,
-        buf: bytes | memoryview,
-        buffer_id: int,
-        level: int,
-        outcome: tuple[list[Record], bool] | None,
-        err: BaseException | None,
-        degraded: list[bool],
-        tele: Telemetry,
-        mode: str,
-    ) -> list[Record]:
-        """Turn one buffer's codec outcome into records, degrading on error.
-
-        Graceful degradation: a codec blowing up on one buffer must not
-        kill the message.  Ship this buffer raw and pin the rest of the
-        stream to level 0 — the receiver needs no special handling, raw
-        records are always legal.
-        """
-        if err is not None or outcome is None:
-            degraded[0] = True
-            records = [Record(0, len(buf), buf)]
-            _log.warning(
-                "codec failed at level %d on buffer %d; degrading stream "
-                "to raw",
-                level, buffer_id,
-            )
-            tele.event(
-                "degraded", "codec_failure", buffer_id=buffer_id, level=level
-            )
-        else:
-            records = outcome[0]
-        if tele.enabled:
-            out_bytes = sum(len(r.payload) for r in records)
-            tele.tracer.record(
-                "buffer", "buffer_compressed",
-                buffer_id=buffer_id,
-                level=level,
-                in_bytes=len(buf),
-                out_bytes=out_bytes,
-            )
-            metrics = tele.metrics
-            metrics.counter(
-                "adoc_compress_buffers_total",
-                "buffers through the send compression stage",
-                ("mode",),
-            ).inc(mode=mode)
-            metrics.counter(
-                "adoc_compress_bytes_total",
-                "payload bytes through the send compression stage",
-                ("mode",),
-            ).inc(len(buf), mode=mode)
-            if err is not None:
-                metrics.counter(
-                    "adoc_compress_degraded_total",
-                    "buffers shipped raw after a codec failure",
-                    ("mode",),
-                ).inc(mode=mode)
-        return records
-
-    def _enqueue_record(
-        self,
-        rec: Record,
-        cfg: AdocConfig,
-        queue: PacketQueue,
-        inc_guard: IncompressibleGuard,
-        buffer_id: int = 0,
-    ) -> None:
-        """Push a record into the FIFO via :func:`packetize_record`."""
-        timeout = cfg.io_timeout_s
-
-        def emit(packet: QueuedPacket) -> None:
-            queue.put(packet, timeout)
-            inc_guard.note_packet_emitted()
-
-        packetize_record(rec, cfg, emit, buffer_id)
-
-    def _emission_loop(self, queue: PacketQueue, cfg: AdocConfig) -> SendResult:
-        """Drain the queue into the socket, observing per-buffer rates.
-
-        Visible bandwidth is aggregated over (buffer, level) windows:
-        per-packet send gaps are dominated by socket-buffer absorption
-        and would record absurd rates for whichever level happens to
-        run while the buffer has room (which then poisons the
-        divergence guard); a 200 KB window measures the sustained
-        pipeline rate at that level.
-
-        Packets already queued under the same window are coalesced into
-        one vectored send (up to :data:`_MAX_BATCH` packets), so a burst
-        of framed packets costs one syscall instead of one per packet.
-        """
-        wire_bytes = 0
-        levels_used: dict[int, int] = {}
-        window_start = self.clock()
-        window_key: tuple[int, int] | None = None  # (buffer_id, level)
-        window_orig = 0
+        timeout = msg.config.io_timeout_s
+        msg.open_windows()
         pending: QueuedPacket | None = None
         try:
             while True:
-                pkt = pending if pending is not None else queue.get(cfg.io_timeout_s)
+                pkt = pending if pending is not None else queue.get(timeout)
                 pending = None
                 if pkt is None:
                     break
                 key = (pkt.buffer_id, pkt.level)
-                if window_key is not None and key != window_key:
-                    now = self.clock()
-                    if window_orig > 0:
-                        self.divergence.observe(
-                            window_key[1], window_orig, now - window_start
-                        )
-                    window_start = now
-                    window_orig = 0
-                window_key = key
-
                 vectors: list[bytes | memoryview] = []
                 count = 0
                 while True:
+                    msg.emitting(pkt)
                     if pkt.prefix:
                         vectors.append(pkt.prefix)
                     if len(pkt.payload):
                         vectors.append(pkt.payload)
-                    window_orig += pkt.original_bytes
-                    wire_bytes += pkt.wire_length
-                    levels_used[key[1]] = levels_used.get(key[1], 0) + 1
                     count += 1
                     if count >= _MAX_BATCH:
                         break
@@ -904,15 +426,8 @@ class MessageSender:
                         break
                     pkt = nxt
                 sendall_vectors(self.endpoint, vectors)
-            if window_key is not None and window_orig > 0:
-                self.divergence.observe(
-                    window_key[1], window_orig, self.clock() - window_start
-                )
+            msg.close_windows()
         except BaseException:
-            queue.close()  # unblock the compression thread
+            queue.close()  # unblock the dispatcher
             raise
-        return SendResult(0, wire_bytes, 0.0, levels_used=levels_used)
 
-
-#: Compatibility alias — the helper moved to :mod:`repro.core.sources`.
-_stream_size = stream_size

@@ -5,28 +5,27 @@ threads to wait; a channel spends none.  It registers one non-blocking
 socket with a :class:`~repro.serve.reactor.Reactor` and moves bytes
 only when the kernel says it can: reads feed the same incremental
 :class:`~repro.core.receiver.StreamingParser` the blocking receiver
-uses, writes drain a backlog of framing vectors built by the same
-helpers (:func:`~repro.core.sender.raw_message_vectors`,
-:class:`~repro.core.packets.Record`), so the two modes are
-byte-compatible on the wire by construction — a blocking sender can
-talk to a reactor channel and vice versa.
+uses, and sends are decided by the same
+:class:`~repro.core.sendcore.SendCore` the blocking sender drives, so
+the two modes are byte-compatible on the wire by construction — a
+blocking sender can talk to a reactor channel and vice versa.
 
 CPU-heavy codec work never runs on the loop thread: compression and
 decompression are submitted to a :class:`~repro.serve.pool.WorkerPool`
 keyed per channel direction, whose in-order FIFO reinsertion guarantees
 records are emitted (and decoded payloads delivered) in submission
 order no matter which worker finishes first.  Small messages skip the
-pool entirely — they are framed raw inline, the reactor analog of the
-blocking sender's small-message bypass.
+pool entirely — they are framed raw inline.
 
-What carries over from the blocking engine, per the mode matrix in
-``docs/CONCURRENCY.md``: zero-copy emission (payloads stay
-``memoryview`` vectors end to end), ``io_timeout_s`` deadlines (a stall
-timer fails the channel when a frame or a write backlog stops making
-progress), level adaptation + divergence/incompressibility guards, and
-telemetry.  What does not: the 256 KB bandwidth probe (it needs timed
-blocking sends; reactor-mode level selection leans on the write-backlog
-depth instead).
+Everything on the send side carries over from the blocking engine, per
+the mode matrix in ``docs/CONCURRENCY.md``: the small-message bypass,
+the 256 KB probe (timed until the kernel accepts its last byte), the
+Figure-2 level with in-flight buffers counted, both guards, codec
+failure degradation, zero-copy emission (payloads stay ``memoryview``
+vectors end to end), ``io_timeout_s`` deadlines (a stall timer fails
+the channel when a frame or a write backlog stops making progress) and
+telemetry.  The queue the level signal reads is the write backlog, in
+packets.
 
 Thread model: every public method is **loop-thread-only** — callers on
 other threads go through
@@ -44,15 +43,19 @@ from functools import partial
 from typing import Callable
 
 from ..compress.registry import codec_for_level
-from ..core.adaptation import LevelAdapter
 from ..core.compressor import compress_buffer
 from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.deadlines import DeadlineExceeded, TransferError
-from ..core.divergence import DivergenceGuard
-from ..core.guards import IncompressibleGuard
-from ..core.packets import END_LEVEL, ProtocolError, Record, pack_message_header
+from ..core.fifo import QueuedPacket
+from ..core.packets import END_LEVEL, ProtocolError
 from ..core.receiver import StreamingParser
-from ..core.sender import raw_message_vectors
+from ..core.sendcore import (
+    BYPASS,
+    PROBE,
+    SendCore,
+    SendMessage,
+    raw_record_vectors,
+)
 from ..obs.telemetry import Telemetry, resolve_telemetry
 from ..transport.base import Endpoint, TransportClosed
 from .pool import PoolClosed, WorkerPool
@@ -308,18 +311,18 @@ class _ChannelBase:
                 return
             if sent == 0:
                 break  # kernel buffer full: wait for EVENT_WRITE
-            self._account_tx(sent)
-            while self._wq and sent >= 0:
+            left = sent
+            while self._wq:
                 head_left = len(self._wq[0]) - self._woff
-                if sent >= head_left:
-                    sent -= head_left
-                    self._wq.popleft()
-                    self._woff = 0
-                    if not self._wq:
-                        break
-                else:
-                    self._woff += sent
+                if left < head_left:
+                    self._woff += left
                     break
+                left -= head_left
+                self._wq.popleft()
+                self._woff = 0
+            # Last: accounting hooks may enqueue more, so the backlog
+            # must already reflect what the kernel took.
+            self._account_tx(sent)
         if not self._wq and self._rx_paused and self._may_resume():
             self._resume_reading()
         self._update_interest()
@@ -388,11 +391,16 @@ class AdocChannel(_ChannelBase):
     """AdOC framing over a non-blocking socket, codec work pooled.
 
     One ``send_message`` call is one message on the wire, exactly as one
-    ``adoc_write`` is in the blocking engine.  Small messages (below
-    ``small_message_threshold``, compression not forced) are framed raw
-    inline; large ones are cut into ``buffer_size`` chunks, compressed
-    on the worker pool at a level the adapter picks per chunk, and their
-    records enqueued in chunk order (the pool's per-key FIFO
+    ``adoc_write`` is in the blocking engine, and the same
+    :class:`~repro.core.sendcore.SendCore` walks it down the ladder:
+    small messages are framed raw inline; larger ones send a raw probe,
+    timed from enqueue until the kernel accepts its last byte, then
+    either the raw rest (fast network) or ``buffer_size`` chunks
+    compressed on the worker pool at the levels the core picks.  The
+    queue the Figure-2 signal reads is the write backlog, in packets; a
+    chunk goes to the pool only inside the core's in-flight window and
+    while backlog plus in-flight packets stay below ``queue_capacity``.
+    Records are enqueued in chunk order (the pool's per-key FIFO
     reinsertion plus the reactor's ordered cross-thread queue make that
     order-safe even with every worker busy).
     """
@@ -416,27 +424,22 @@ class AdocChannel(_ChannelBase):
         self._rxq: deque[_Slot] = deque()
         self._decode_parked: deque[tuple[_Slot, int, bytes, int]] = deque()
         self._retry_timer = None
-        # Send side: one message in flight through the pool at a time;
-        # later messages park until its records are all enqueued.
-        self._tx_busy = False
+        # Send side: one message framed at a time; later ones wait.
+        self.core = SendCore(config, telemetry=self._tele)
+        self.divergence = self.core.divergence
         self._tx_msgq: deque[bytes | memoryview] = deque()
-        self._tx_chunks: deque[memoryview] = deque()
-        self._tx_jobs = 0
-        # Adaptation state mirrors MessageSender: per-connection
-        # divergence records persisting across messages.
-        self.divergence = DivergenceGuard(config.divergence_forbid_s)
-        self._inc_guard = IncompressibleGuard(
-            config.incompressible_ratio, config.incompressible_holdoff
-        )
-        self._adapter = LevelAdapter(
-            config, self.divergence, self._inc_guard, self._tele
-        )
-        # Divergence windows over the write backlog: (level, orig
-        # bytes, absolute wire offset at which the window ends).
+        self._tx: SendMessage | None = None
+        self._tx_view = memoryview(b"")
+        self._tx_offset = 0  # bytes of it handed to the wire or a codec
+        #: (buffer_id, level, chunk) decided but refused by a full pool.
+        self._tx_parked: tuple[int, int, memoryview] | None = None
+        # Absolute wire offsets: bytes enqueued, bytes the kernel took,
+        # and (offset, callback, arg) to run once it has taken them.
         self._tx_enqueued = 0
         self._tx_acked = 0
-        self._windows: deque[tuple[int, int, int]] = deque()
-        self._window_start: float | None = None
+        self._acks: deque[tuple[int, Callable, object]] = deque()
+        #: Packets in the write backlog: the Figure-2 queue length.
+        self._backlog_packets = 0
         self.messages_in = 0
         self.messages_out = 0
 
@@ -444,43 +447,69 @@ class AdocChannel(_ChannelBase):
 
     def send_message(self, data: bytes | bytearray | memoryview) -> None:
         """Queue one AdOC message (loop thread only)."""
-        if self._closed:
-            return
-        if self._tx_busy:
+        if not self._closed:
             self._tx_msgq.append(data)
-            return
-        self._start_message(data)
+            self._next_message()
 
-    def _start_message(self, data: bytes | bytearray | memoryview) -> None:
-        cfg = self.config
-        total = len(data)
-        self.messages_out += 1
-        small = not cfg.compression_forced and total < cfg.small_message_threshold
-        if cfg.compression_disabled or small:
-            self._enqueue(raw_message_vectors(data))
-            return
-        self._tx_busy = True
-        self._enqueue([pack_message_header(total, length_known=True)])
-        view = memoryview(data)
-        for off in range(0, total, cfg.buffer_size):
-            self._tx_chunks.append(view[off : off + cfg.buffer_size])
+    def _next_message(self) -> None:
+        while self._tx is None and self._tx_msgq and not self._closed:
+            data = self._tx_msgq.popleft()
+            self.messages_out += 1
+            msg = self.core.begin(len(data))
+            if msg.path == BYPASS:
+                self._push([msg.header, *raw_record_vectors(memoryview(data))])
+                continue
+            self._tx, self._tx_view = msg, memoryview(data)
+            self._tx_offset = msg.probe_bytes
+            if msg.path == PROBE:
+                probe = self._tx_view[: msg.probe_bytes]
+                self._push(
+                    [msg.header, *raw_record_vectors(probe, self.config.buffer_size)],
+                    [(None, self._probe_sent, self.core.clock())],
+                )
+            else:
+                self._push([msg.header])
+                self._start_pipeline()
+
+    def _probe_sent(self, started: float) -> None:
+        msg = self._tx
+        if msg.probe_done(msg.probe_bytes, self.core.clock() - started):
+            rest = self._tx_view[self._tx_offset :]
+            self._push(raw_record_vectors(rest, self.config.buffer_size))
+            self._tx_offset = len(self._tx_view)
+            self._finish_message()
+        else:
+            self._start_pipeline()
+
+    def _start_pipeline(self) -> None:
+        self._tx.start_pipeline(self.pool.workers)
+        self._tx.open_windows()
         self._pump_tx()
 
     def _pump_tx(self) -> None:
-        """Submit parked chunks while the pool has room."""
-        cfg = self.config
-        while self._tx_chunks:
-            chunk = self._tx_chunks[0]
-            level = self._adapter.next_level(len(self._wq), time.monotonic())
-            if cfg.compression_disabled:
-                level = 0
+        """Hand chunks to the pool while the core's window allows."""
+        msg, cfg = self._tx, self.config
+        if msg is None or not msg.pipeline_used or self._closed:
+            return
+        while True:
+            if self._tx_parked is None:
+                if (
+                    self._tx_offset >= len(self._tx_view)
+                    or not msg.can_submit()
+                    or self._backlog_packets + msg.pending_packets
+                    >= cfg.queue_capacity
+                ):
+                    break
+                chunk = self._tx_view[self._tx_offset : self._tx_offset + cfg.buffer_size]
+                self._tx_offset += len(chunk)
+                bid, level = msg.submit(len(chunk), self._backlog_packets)
+                self._tx_parked = (bid, level, chunk)
+            bid, level, chunk = self._tx_parked
             try:
                 accepted = self.pool.try_submit(
-                    self._compress_job,
-                    chunk,
-                    level,
+                    compress_buffer, chunk, level, msg.guard, cfg,
                     key=(id(self), "tx"),
-                    on_done=partial(self._tx_job_done, chunk, level),
+                    on_done=partial(self._tx_job_done, msg, bid, chunk, level),
                 )
             except PoolClosed as exc:
                 self._fail(exc)
@@ -488,66 +517,68 @@ class AdocChannel(_ChannelBase):
             if not accepted:
                 self._arm_retry()
                 return
-            self._tx_chunks.popleft()
-            self._tx_jobs += 1
+            self._tx_parked = None
+        if self._tx_offset >= len(self._tx_view) and msg.inflight == 0:
+            self._finish_message()
 
-    def _compress_job(self, chunk: memoryview, level: int) -> list[Record]:
-        records, _ = compress_buffer(chunk, level, self._inc_guard, self.config)
-        return records
-
-    def _tx_job_done(self, chunk, level, records, error) -> None:
+    def _tx_job_done(self, msg, bid, chunk, level, outcome, error) -> None:
         # Worker thread: hop to the loop.  The pool delivers per-key
         # completions in submission order and call_soon_threadsafe is
         # FIFO, so chunk order survives the round trip.
         self.reactor.call_soon_threadsafe(
-            partial(self._tx_enqueue_records, chunk, level, records, error)
+            partial(self._tx_records, msg, bid, chunk, level, outcome, error)
         )
 
-    def _tx_enqueue_records(self, chunk, level, records, error) -> None:
+    def _tx_records(self, msg, bid, chunk, level, outcome, error) -> None:
         if self._closed:
             return
-        if error is not None:
-            # Graceful degradation, same as the blocking compression
-            # thread: a codec failure ships the chunk raw.
-            _log.warning(
-                "codec failed at level %d in reactor channel; sending raw: %s",
-                level, error,
-            )
-            records = [Record(0, len(chunk), chunk)]
-        wire = 0
+        records = msg.complete(bid, chunk, level, outcome, error, "reactor")
         vectors: list[bytes | memoryview] = []
-        for rec in records:
-            hdr = rec.header_bytes()
-            vectors.append(hdr)
-            wire += len(hdr)
-            if len(rec.payload):
-                vectors.append(rec.payload)
-                wire += len(rec.payload)
-        self._tx_enqueued += wire
-        self._windows.append((records[0].level, len(chunk), self._tx_enqueued))
-        if self._window_start is None:
-            self._window_start = time.monotonic()
-        self._enqueue(vectors)
-        self._tx_jobs -= 1
+        marks: list[tuple[int, Callable, object]] = []
+        end = self._tx_enqueued
+        for pkt in msg.packets(records, bid):
+            vectors += (pkt.prefix, pkt.payload)
+            end += pkt.wire_length
+            marks.append((end, self._packet_sent, (msg, pkt)))
+        self._backlog_packets += len(marks)
+        self._push(vectors, marks)
         self._pump_tx()
-        if self._tx_jobs == 0 and not self._tx_chunks:
-            self._tx_busy = False
-            if self._tx_msgq:
-                self._start_message(self._tx_msgq.popleft())
+
+    def _packet_sent(self, arg: tuple[SendMessage, QueuedPacket]) -> None:
+        msg, pkt = arg
+        self._backlog_packets -= 1
+        msg.emitting(pkt)
+
+    def _finish_message(self) -> None:
+        msg, self._tx = self._tx, None
+        # The last bandwidth window closes once the kernel has its bytes.
+        self._push([], [(None, SendMessage.close_windows, msg)])
+        self._next_message()
+
+    def _push(self, vectors: list, marks=()) -> None:
+        """Enqueue ``vectors``; run each mark once the kernel takes it.
+
+        A mark is ``(end, fn, arg)``: ``fn(arg)`` runs when the kernel
+        has accepted the wire up to absolute offset ``end`` (``None``:
+        the end of ``vectors``).
+        """
+        self._tx_enqueued += sum(len(v) for v in vectors)
+        for end, fn, arg in marks:
+            self._acks.append((self._tx_enqueued if end is None else end, fn, arg))
+        self._enqueue(vectors)
+        self._run_acks()
+
+    def _run_acks(self) -> None:
+        acks = self._acks
+        while acks and acks[0][0] <= self._tx_acked and not self._closed:
+            _, fn, arg = acks.popleft()
+            fn(arg)
 
     def _account_tx(self, sent: int) -> None:
         super()._account_tx(sent)
-        # Observe completed (level, buffer) windows, mirroring the
-        # blocking emission loop's divergence feedback.
         self._tx_acked += sent
-        now = time.monotonic()
-        while self._windows and self._tx_acked >= self._windows[0][2]:
-            level, orig, _ = self._windows.popleft()
-            if self._window_start is not None and orig > 0:
-                self.divergence.observe(
-                    level, orig, max(now - self._window_start, 1e-9)
-                )
-            self._window_start = now if self._windows else None
+        self._run_acks()
+        self._pump_tx()
 
     # -- receive -----------------------------------------------------------
 
@@ -655,7 +686,7 @@ class AdocChannel(_ChannelBase):
             return
         self._pump_parked_decodes()
         self._pump_tx()
-        if self._decode_parked or (self._tx_chunks and self._tx_busy):
+        if self._decode_parked or self._tx_parked is not None:
             self._arm_retry()
         elif self._rx_paused and self._may_resume():
             self._resume_reading()
@@ -673,7 +704,7 @@ class AdocChannel(_ChannelBase):
         except TransportClosed as exc:
             self._fail(exc)
             return
-        if self._rxq or self._tx_jobs or self._wq:
+        if self._rxq or self._tx is not None or self._wq:
             # Let in-flight decodes/writes finish before reporting EOF.
             self.reactor.call_later(_POOL_RETRY_S, self._on_eof)
             return

@@ -1,27 +1,24 @@
 """Simulated AdOC transfer: the Figure-1 pipeline on a virtual clock.
 
-The model reuses the *live* control logic — the Figure-2
-:class:`~repro.core.adaptation.LevelAdapter`, the
-:class:`~repro.core.divergence.DivergenceGuard` and the
-:class:`~repro.core.guards.IncompressibleGuard` are the same objects the
-threaded library runs; only the costs (compression time, wire time) come
-from the calibrated model instead of real execution.  What is simulated:
+The model runs the *live* send ladder — the
+:class:`~repro.core.sendcore.SendCore` the blocking and reactor engines
+run, driven here with the simulation clock: bypass, probe and fast
+path, the Figure-2 level per buffer, both guards, the packetization and
+the per-(buffer, level) divergence windows.  Only the costs
+(compression time, wire time) come from the calibrated model instead of
+real execution.  What the simulator itself supplies:
 
-* **compression process** — consumes the message in 200 KB buffers,
-  re-evaluating the level per buffer; emits framed packets into the
-  FIFO queue *incrementally* (one packet's worth of input per timeout),
-  so queue dynamics match the live thread;
+* **compression cost** — each buffer at the core's level is consumed
+  one packet's worth of output per timeout, so queue dynamics match the
+  live thread; the output size comes from the data profile's ratio;
 * **emission process** — drains packets into a byte-bounded "socket
-  buffer" store and feeds per-level bandwidth observations to the
-  divergence guard;
+  buffer" store, reporting each to the core's bandwidth windows;
 * **link process** — serializes socket-buffer chunks at the profile's
   bandwidth (with jitter and Markov congestion), pays propagation
   latency once per stream, and respects receiver-window backpressure;
 * **reception + decompression processes** — the receiving half of
   Figure 1; decompression speed comes from the cost model scaled by the
-  profile's ``receiver_cpu_scale``;
-* the **probe / small-message / forced-compression** ladder of
-  section 5, identical in structure to the live ``MessageSender``.
+  profile's ``receiver_cpu_scale``.
 
 Fixed CPU overheads are calibrated against Table 2 of the paper (see
 :data:`ADOC_FRAMING_S`, :data:`THREAD_STARTUP_S`,
@@ -31,13 +28,12 @@ Fixed CPU overheads are calibrated against Table 2 of the paper (see
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..core.adaptation import LevelAdapter
 from ..core.config import AdocConfig, DEFAULT_CONFIG
 from ..core.divergence import DivergenceGuard
-from ..core.guards import IncompressibleGuard
-from ..core.packets import MESSAGE_HEADER_SIZE, RECORD_HEADER_SIZE
+from ..core.packets import RECORD_HEADER_SIZE, Record
+from ..core.sendcore import BYPASS, PROBE, SendCore, SendResult
 from ..transport.profiles import NetworkProfile
 from .costmodel import DataProfile
 from .engine import Environment, Store, Timeout
@@ -72,17 +68,9 @@ PIPELINE_STALL_RTTS = 0.9
 
 
 @dataclass
-class SimTransferResult:
+class SimTransferResult(SendResult):
     """Outcome of one simulated one-way message transfer."""
 
-    payload_bytes: int
-    wire_bytes: int
-    elapsed_s: float
-    pipeline_used: bool = False
-    fast_path: bool = False
-    probe_bps: float | None = None
-    levels_used: dict[int, int] = field(default_factory=dict)
-    guard_trips: int = 0
     queue_peak: int = 0
 
     @property
@@ -91,10 +79,6 @@ class SimTransferResult:
         if self.elapsed_s <= 0:
             return float("inf")
         return self.payload_bytes * 8.0 / self.elapsed_s
-
-    @property
-    def compression_ratio(self) -> float:
-        return self.payload_bytes / self.wire_bytes if self.wire_bytes else 1.0
 
 
 class _Link:
@@ -182,163 +166,112 @@ def simulate_adoc_message(
     link = _Link(profile, rng, rate_schedule)
     result = SimTransferResult(size, 0, 0.0)
 
-    header_wire = MESSAGE_HEADER_SIZE
+    env = Environment()
+    core = SendCore(
+        cfg,
+        clock=lambda: env.now,
+        divergence=divergence,
+        use_divergence=use_divergence,
+        adapter_factory=adapter_factory,
+    )
+    msg = core.begin(size)
+    header_wire = len(msg.header)
 
-    # --- decision ladder (mirrors MessageSender.send) ---------------------
-    if cfg.compression_disabled or (
-        not cfg.compression_forced and size < cfg.small_message_threshold
-    ):
+    if msg.path == BYPASS:
         wire = header_wire + (RECORD_HEADER_SIZE if size else 0) + size
         base = simulate_posix_message(wire, profile, seed, rate_schedule)
         result.wire_bytes = wire
         result.elapsed_s = base.elapsed_s + ADOC_FRAMING_S
         return result
 
-    env = Environment()
     sock = Store(env, capacity=profile.buffer_bytes)
     recv_sock = Store(env, capacity=profile.buffer_bytes)
     queue = Store(env, capacity=cfg.queue_capacity)
     recv_queue = Store(env, capacity=cfg.recv_queue_packets)
 
-    if use_divergence:
-        divergence = divergence or DivergenceGuard(cfg.divergence_forbid_s)
-    else:
-        divergence = None
-    inc_guard = IncompressibleGuard(
-        cfg.incompressible_ratio, cfg.incompressible_holdoff
-    )
-    if adapter_factory is not None:
-        adapter = adapter_factory(cfg, divergence, inc_guard)
-    else:
-        adapter = LevelAdapter(cfg, divergence, inc_guard)
-
-    state = {
-        "wire": header_wire,
-        "probe_bps": None,
-        "fast": False,
-        "done_at": None,
-        "delivered": 0,
-    }
+    state = {"wire": header_wire, "done_at": None, "delivered": 0}
 
     sender_cpu = profile.sender_cpu_scale
     recv_cpu = profile.receiver_cpu_scale
+    packet_size = cfg.packet_size
+
+    def raw_to_socket(nbytes: int):
+        # One raw record written inline (no pipeline thread), straight
+        # into the socket buffer so the writes feel the link drain rate.
+        state["wire"] += nbytes + RECORD_HEADER_SIZE
+        for off in range(0, nbytes, packet_size):
+            n = min(packet_size, nbytes - off)
+            wire_n = n + (RECORD_HEADER_SIZE if off == 0 else 0)
+            yield sock.put(("chunk", wire_n, 0, n), weight=wire_n)
+
+    def to_queue(records, buffer_id: int):
+        for pkt in msg.packets(records, buffer_id):
+            state["wire"] += pkt.wire_length
+            yield queue.put(pkt)
 
     def compression_proc():
         offset = 0
-        # Forced compression pays the thread start-up immediately; the
-        # probe path pays it only if it decides to adapt.
-        if cfg.compression_forced:
-            yield Timeout(THREAD_STARTUP_S)
-        else:
-            # Probe: the first 256 KB go raw *directly* into the socket
-            # buffer (the live code sends them inline, before any thread
-            # exists), so the enqueue time feels the link drain rate.
-            probe = min(cfg.probe_size, size)
+        if msg.path == PROBE:
+            # The probe goes out as one raw record before any pipeline
+            # thread exists; the thread start-up is paid only if the
+            # probe decides to adapt.  Forced compression pays it at
+            # once.
             t0 = env.now
-            for off in range(0, probe, cfg.packet_size):
-                n = min(cfg.packet_size, probe - off)
-                wire_n = n + (RECORD_HEADER_SIZE if off == 0 else 0)
-                state["wire"] += wire_n
-                yield sock.put(("chunk", wire_n, 0, n), weight=wire_n)
-            elapsed = max(env.now - t0, 1e-9)
-            bps = probe * 8.0 / elapsed
-            state["probe_bps"] = bps
-            if divergence is not None:
-                # The probe doubles as the level-0 bandwidth record
-                # (mirrors MessageSender._probe).
-                divergence.observe(0, probe // 2, elapsed / 2)
-                divergence.observe(0, probe - probe // 2, elapsed / 2)
-            offset = probe
-            if bps > cfg.fast_network_bps:
-                # Very fast network: the rest is sent raw inline too.
-                state["fast"] = True
+            yield from raw_to_socket(msg.probe_bytes)
+            offset = msg.probe_bytes
+            if msg.probe_done(msg.probe_bytes, env.now - t0):
                 while offset < size:
                     n = min(cfg.buffer_size, size - offset)
-                    state["wire"] += n + RECORD_HEADER_SIZE
-                    for o2 in range(0, n, cfg.packet_size):
-                        k = min(cfg.packet_size, n - o2)
-                        extra = RECORD_HEADER_SIZE if o2 == 0 else 0
-                        yield sock.put(("chunk", k + extra, 0, k), weight=k + extra)
+                    yield from raw_to_socket(n)
                     offset += n
                 queue.close()
                 return
-            yield Timeout(THREAD_STARTUP_S)
+        yield Timeout(THREAD_STARTUP_S)
 
-        buffer_id = 0
+        msg.start_pipeline()
         while offset < size:
-            level = adapter.next_level(queue.size(), env.now)
             buf = min(cfg.buffer_size, size - offset)
-            cost = data.cost(level)
+            buffer_id, level = msg.submit(buf, queue.size())
             if level == 0:
                 # No compression: raw record, no CPU time.
-                state["wire"] += buf + RECORD_HEADER_SIZE
-                for o2 in range(0, buf, cfg.packet_size):
-                    k = min(cfg.packet_size, buf - o2)
-                    extra = RECORD_HEADER_SIZE if o2 == 0 else 0
-                    yield queue.put((buffer_id, k + extra, 0, k))
-                    inc_guard.note_packet_emitted()
+                yield from to_queue([Record(0, buf, _blank(buf))], buffer_id)
             else:
-                # Compress incrementally: each produced packet covers
-                # ratio * packet_size input bytes.
-                per_packet_input = cfg.packet_size * cost.ratio
-                produced = 0.0
+                # Compress incrementally: each produced packet is one
+                # record covering ratio * packet_size input bytes, and
+                # the incompressible guard judges it as the live codec
+                # judges each slice.
+                cost = data.cost(level)
+                per_packet_input = packet_size * cost.ratio
                 consumed = 0
-                tripped = False
                 while consumed < buf:
-                    step = int(min(per_packet_input, buf - consumed))
-                    step = max(step, 1)
+                    step = max(int(min(per_packet_input, buf - consumed)), 1)
                     yield Timeout(step / (cost.compress_bps * sender_cpu))
-                    out = step / cost.ratio
+                    out = int(step / cost.ratio)
                     consumed += step
-                    produced += out
-                    wire_n = int(out) + RECORD_HEADER_SIZE
-                    state["wire"] += wire_n
-                    yield queue.put((buffer_id, wire_n, level, step))
-                    inc_guard.note_packet_emitted()
-                    if inc_guard.check_packet(step, int(out)):
-                        tripped = True
-                        result.guard_trips += 1
+                    yield from to_queue([Record(level, step, _blank(out))], buffer_id)
+                    if msg.guard.check_packet(step, out):
                         break
-                if tripped and consumed < buf:
+                if consumed < buf:
                     rest = buf - consumed
-                    state["wire"] += rest + RECORD_HEADER_SIZE
-                    for o2 in range(0, rest, cfg.packet_size):
-                        k = min(cfg.packet_size, rest - o2)
-                        extra = RECORD_HEADER_SIZE if o2 == 0 else 0
-                        yield queue.put((buffer_id, k + extra, 0, k))
-                        inc_guard.note_packet_emitted()
+                    yield from to_queue([Record(0, rest, _blank(rest))], buffer_id)
+            msg.buffer_done(buffer_id, buf)
             offset += buf
-            buffer_id += 1
         queue.close()
 
     def emission_proc():
-        # Visible bandwidth is aggregated over (buffer, level) windows,
-        # exactly as the live emission loop does: per-packet gaps are
-        # distorted by socket-buffer absorption.
-        window_key = None
-        window_start = env.now
-        window_orig = 0
+        # Per-(buffer, level) bandwidth windows, exactly as the live
+        # emission loop measures them.
+        msg.open_windows()
         while True:
-            item = yield queue.get()
-            if item is None:
+            pkt = yield queue.get()
+            if pkt is None:
                 break
-            buffer_id, wire_n, level, orig_n = item
-            key = (buffer_id, level)
-            if window_key is not None and key != window_key:
-                if window_orig > 0 and divergence is not None:
-                    divergence.observe(
-                        window_key[1], window_orig, max(env.now - window_start, 1e-9)
-                    )
-                window_start = env.now
-                window_orig = 0
-            window_key = key
-            yield sock.put(("chunk", wire_n, level, orig_n), weight=wire_n)
-            window_orig += orig_n
-            result.levels_used[level] = result.levels_used.get(level, 0) + 1
-        if window_key is not None and window_orig > 0 and divergence is not None:
-            divergence.observe(
-                window_key[1], window_orig, max(env.now - window_start, 1e-9)
+            msg.emitting(pkt)
+            wire_n = pkt.wire_length
+            yield sock.put(
+                ("chunk", wire_n, pkt.level, pkt.original_bytes), weight=wire_n
             )
+        msg.close_windows()
         sock.close()
 
     def link_proc():
@@ -389,14 +322,21 @@ def simulate_adoc_message(
 
     elapsed = state["done_at"] if state["done_at"] is not None else env.now
     elapsed += ADOC_FRAMING_S
-    if not state["fast"]:
+    if not msg.fast_path:
         # The pipelined wire pattern loses a fraction of an RTT to
         # transport stalls (Table 2 calibration).
         elapsed += PIPELINE_STALL_RTTS * profile.rtt_s
     result.wire_bytes = state["wire"]
     result.elapsed_s = elapsed
-    result.pipeline_used = not state["fast"]
-    result.fast_path = state["fast"]
-    result.probe_bps = state["probe_bps"]
+    result.pipeline_used = msg.pipeline_used
+    result.fast_path = msg.fast_path
+    result.probe_bps = msg.probe_bps
+    result.levels_used = msg.levels_used
+    result.guard_trips = msg.guard.trips if msg.guard is not None else 0
     result.queue_peak = queue.peak_size
     return result
+
+
+def _blank(nbytes: int) -> memoryview:
+    """Stand-in payload of ``nbytes``: the model tracks sizes, not bytes."""
+    return memoryview(bytes(nbytes))

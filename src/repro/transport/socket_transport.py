@@ -97,7 +97,18 @@ class SocketEndpoint(Endpoint):
             pass
 
     def close(self) -> None:
+        """Shut both directions down, then close.
+
+        ``close()`` alone does not wake a thread parked in ``recv()`` on
+        the same socket (Linux keeps the file alive until that syscall
+        returns); ``shutdown(SHUT_RDWR)`` does, so a reception thread
+        sees EOF at once instead of outliving its connection.
+        """
         self._closed = True
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, or the peer already reset it
         try:
             self._sock.close()
         except OSError:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,9 @@ from repro.core import (
     adoc_write,
     adoc_write_levels,
 )
+from repro.core.api import _lookup
 from repro.data import ascii_data
+from repro.obs import Telemetry
 from repro.transport import pipe_pair, socketpair_endpoints
 
 CFG = AdocConfig(
@@ -225,6 +228,38 @@ class TestDescriptors:
         assert bytes(out) == b"over a real socket"
         adoc_close(fd_a)
         adoc_close(fd_b)
+
+    def test_close_counts_a_receiver_that_outlives_its_join(self, caplog):
+        """An expired teardown join is logged and counted, not dropped."""
+        release = threading.Event()
+
+        class Wedged:
+            """recv ignores close: only ``release`` lets it return."""
+
+            def send(self, data):
+                return len(data)
+
+            def recv(self, n):
+                release.wait(10.0)
+                return b""
+
+            def close(self):
+                pass
+
+        tele = Telemetry()
+        cfg = AdocConfig(join_timeout_s=0.1, telemetry=tele)
+        fd = adoc_attach(Wedged(), cfg)
+        _lookup(fd).receiver  # the reception threads start on first use
+        try:
+            with caplog.at_level("WARNING", logger="repro.core.api"):
+                adoc_close(fd)
+            counter = tele.metrics.counter(
+                "adoc_teardown_timeouts_total", "", ("component",)
+            )
+            assert counter.value(component="receiver") == 1
+            assert "still running" in caplog.text
+        finally:
+            release.set()
 
 
 class TestAdocSocketWrapper:

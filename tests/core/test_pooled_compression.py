@@ -17,6 +17,7 @@ make that safe:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -121,6 +122,25 @@ class TestInOrderReinsertion:
         pooled, result = send_wire(CFG)
         assert pooled == inline
         assert result.pipeline_used
+
+
+    def test_wire_identical_under_thread_stress(self):
+        """More workers than cores and a tiny switch interval: completions
+        race the dispatcher, and the wire must still match."""
+        inline, _ = send_wire(replace(CFG, compress_workers=0))
+        old = sys.getswitchinterval()
+        shutdown_shared_pool()
+        sys.setswitchinterval(1e-5)
+        try:
+            deadline = time.monotonic() + 20.0
+            for _ in range(5):
+                wire, result = send_wire(replace(CFG, compress_workers=4))
+                assert wire == inline
+                assert result.payload_bytes == len(DATA)
+                assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(old)
+            shutdown_shared_pool()
 
 
 class TestDegradation:

@@ -7,7 +7,8 @@ import io
 import pytest
 
 from repro.core import AdocConfig, MessageSender, SendResult
-from repro.core.sender import _stream_size
+from repro.core.sources import stream_size as _stream_size
+from repro.core.sendcore import BYPASS, PIPELINE, PROBE, SendCore
 from repro.transport import pipe_pair, shaped_pair
 
 CFG = AdocConfig(
@@ -63,20 +64,20 @@ class TestProbe:
 
 
 class TestBypassLadder:
+    """The ladder's first rung, decided by the send core."""
+
     def test_small_message_bypass(self):
-        sender = MessageSender(_NullEndpoint(), CFG)
-        assert sender._should_bypass(100, CFG)
-        assert not sender._should_bypass(100_000, CFG)
+        core = SendCore(CFG)
+        assert core.begin(100).path == BYPASS
+        assert core.begin(100_000).path == PROBE
 
     def test_forced_never_bypasses(self):
         cfg = CFG.with_levels(1, 10)
-        sender = MessageSender(_NullEndpoint(), cfg)
-        assert not sender._should_bypass(1, cfg)
+        assert SendCore(cfg).begin(1).path == PIPELINE
 
     def test_disabled_always_bypasses(self):
         cfg = CFG.with_levels(0, 0)
-        sender = MessageSender(_NullEndpoint(), cfg)
-        assert sender._should_bypass(10**9, cfg)
+        assert SendCore(cfg).begin(10**9).path == BYPASS
 
 
 class TestStreamSize:
@@ -101,17 +102,6 @@ class TestSendResult:
 
     def test_ratio(self):
         assert SendResult(1000, 250, 0.0).compression_ratio == 4.0
-
-
-class _NullEndpoint:
-    def send(self, data):
-        return len(data)
-
-    def recv(self, n):
-        return b""
-
-    def close(self):
-        pass
 
 
 def _drain_until_eof(endpoint) -> None:

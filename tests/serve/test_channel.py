@@ -3,18 +3,26 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
-from repro.core import AdocConfig
+from repro.core import DEFAULT_CONFIG, AdocConfig, AdocSocket
 from repro.core.api import adoc_attach, adoc_detach, adoc_read, adoc_write
 from repro.core.sender import MessageSender, raw_message_vectors
-from repro.data import ascii_data
+from repro.data import ascii_data, incompressible_data
 from repro.serve.channel import AdocChannel, NonBlockingEndpoint, PlainChannel
 from repro.serve.pool import WorkerPool
 from repro.serve.reactor import Reactor
 from repro.transport import socketpair_endpoints
 
+from ..golden.util import (
+    GOLDEN_CFG,
+    SHAPES,
+    current_zlib_version,
+    fixture_path,
+    recorded_zlib_version,
+)
 from .test_reactor import run_on_loop
 
 #: Small buffers so even modest payloads exercise the chunk pipeline;
@@ -266,3 +274,115 @@ def test_endpoint_without_fileno_is_rejected():
 
     with pytest.raises(TypeError):
         NonBlockingEndpoint(NotASocket())
+
+
+class _DrainedAt:
+    """Endpoint whose ``recv`` side drains at most ``rate`` bytes/s.
+
+    Idle time earns no credit: each read is paid for after the previous
+    one, so the sender sees the rate from its first byte to its last.
+    """
+
+    def __init__(self, inner, rate: float) -> None:
+        self._inner = inner
+        self._rate = rate
+        self._free_at = 0.0
+
+    def recv(self, n: int) -> bytes:
+        data = self._inner.recv(min(n, 16 * 1024))
+        now = time.monotonic()
+        self._free_at = max(self._free_at, now) + len(data) / self._rate
+        time.sleep(self._free_at - now)
+        return data
+
+    def send(self, data) -> int:
+        return self._inner.send(data)
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+def _send_and_drain(loop, cha, reader, payload: bytes) -> float:
+    """Send ``payload`` on ``cha``; return its wire ratio once read back."""
+    reactor, _ = loop
+    before = cha.bytes_out
+    run_on_loop(reactor, lambda: cha.send_message(payload))
+    assert reader.read_exact(len(payload)) == payload
+    return len(payload) / (cha.bytes_out - before)
+
+
+def test_default_config_adapts_to_a_slow_reader(loop):
+    """Unpinned levels: a 10 MB/s reader leaves room to compress.
+
+    The blocking sender reaches ratio ~3.6 here; a reactor channel that
+    under-counts its queue signal sends everything raw (ratio 1.00).
+    """
+    reactor, _ = loop
+    a, b = socketpair_endpoints()
+    cha = _wire(loop, AdocChannel, a, Collector(), config=DEFAULT_CONFIG)
+    reader = AdocSocket(_DrainedAt(b, 10e6))
+    try:
+        ratio = _send_and_drain(loop, cha, reader, ascii_data(8 * 1024 * 1024, seed=21))
+        assert ratio >= 2.0
+    finally:
+        run_on_loop(reactor, cha.close)
+        reader.close()
+
+
+def test_adapts_again_after_an_incompressible_message(loop):
+    """The incompressible guard's holdoff ends with the packets it counts."""
+    reactor, _ = loop
+    a, b = socketpair_endpoints()
+    cha = _wire(loop, AdocChannel, a, Collector(), config=DEFAULT_CONFIG)
+    reader = AdocSocket(_DrainedAt(b, 10e6))
+    try:
+        _send_and_drain(loop, cha, reader, incompressible_data(4 * 1024 * 1024, seed=22))
+        ratio = _send_and_drain(loop, cha, reader, ascii_data(8 * 1024 * 1024, seed=23))
+        assert ratio >= 2.0
+    finally:
+        run_on_loop(reactor, cha.close)
+        reader.close()
+
+
+class _ShapeRecorder:
+    """Stands in for a MessageSender: records what a golden shape sends."""
+
+    def __init__(self) -> None:
+        self.sent: list[tuple[bytes, AdocConfig]] = []
+
+    def send(self, data, config=None):
+        self.sent.append((data, config or GOLDEN_CFG))
+
+    def send_stream(self, stream, config=None):
+        pass  # unknown length: the reactor channel only sends buffers
+
+
+KNOWN_LENGTH = []
+for _shape in SHAPES:
+    _rec = _ShapeRecorder()
+    _shape.run(_rec)
+    if _rec.sent:
+        KNOWN_LENGTH.append((_shape, *_rec.sent[0]))
+
+
+@pytest.mark.parametrize(
+    "shape,payload,config", KNOWN_LENGTH, ids=[s.name for s, *_ in KNOWN_LENGTH]
+)
+def test_reactor_wire_matches_golden_fixture(loop, shape, payload, config):
+    if shape.zlib_dependent and recorded_zlib_version() != current_zlib_version():
+        pytest.skip("fixture generated with another zlib build")
+    expected = fixture_path(shape).read_bytes()
+    reactor, _ = loop
+    a, b = socketpair_endpoints()
+    b.settimeout(10.0)  # a short wire fails the test instead of hanging it
+    cha = _wire(loop, AdocChannel, a, Collector(), config=config)
+    run_on_loop(reactor, lambda: cha.send_message(payload))
+    wire = bytearray()
+    while len(wire) < len(expected):
+        chunk = b.recv(65536)
+        assert chunk, "reactor channel sent fewer bytes than the fixture"
+        wire += chunk
+    run_on_loop(reactor, cha.close)
+    assert b.recv(65536) == b"", "reactor channel sent more bytes than the fixture"
+    b.close()
+    assert bytes(wire) == expected
