@@ -302,6 +302,10 @@ class _DrainedAt:
         self._inner.close()
 
 
+#: The reading end fails on a stalled sender instead of hanging the test.
+READER_CFG = AdocConfig(io_timeout_s=30.0)
+
+
 def _send_and_drain(loop, cha, reader, payload: bytes) -> float:
     """Send ``payload`` on ``cha``; return its wire ratio once read back."""
     reactor, _ = loop
@@ -320,7 +324,7 @@ def test_default_config_adapts_to_a_slow_reader(loop):
     reactor, _ = loop
     a, b = socketpair_endpoints()
     cha = _wire(loop, AdocChannel, a, Collector(), config=DEFAULT_CONFIG)
-    reader = AdocSocket(_DrainedAt(b, 10e6))
+    reader = AdocSocket(_DrainedAt(b, 10e6), READER_CFG)
     try:
         ratio = _send_and_drain(loop, cha, reader, ascii_data(8 * 1024 * 1024, seed=21))
         assert ratio >= 2.0
@@ -334,7 +338,7 @@ def test_adapts_again_after_an_incompressible_message(loop):
     reactor, _ = loop
     a, b = socketpair_endpoints()
     cha = _wire(loop, AdocChannel, a, Collector(), config=DEFAULT_CONFIG)
-    reader = AdocSocket(_DrainedAt(b, 10e6))
+    reader = AdocSocket(_DrainedAt(b, 10e6), READER_CFG)
     try:
         _send_and_drain(loop, cha, reader, incompressible_data(4 * 1024 * 1024, seed=22))
         ratio = _send_and_drain(loop, cha, reader, ascii_data(8 * 1024 * 1024, seed=23))
