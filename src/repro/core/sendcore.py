@@ -405,6 +405,12 @@ class SendMessage:
         per-packet send gaps are dominated by socket-buffer absorption
         and would credit whichever level runs while the buffer has room,
         while a whole buffer measures the sustained rate at its level.
+        A window is observed when the next one starts.  The last window
+        of a message has no successor to bound it — it would end when
+        the socket buffer swallows the tail, reading hundreds of MB/s
+        or more — so it is never observed: that one reading would
+        outweigh the link rate in the record the next message on the
+        connection starts from, and veto compression there.
         """
         key = (pkt.buffer_id, pkt.level)
         if key != self._win_key:
@@ -417,12 +423,6 @@ class SendMessage:
         self._win_orig += pkt.original_bytes
         self.wire_bytes += pkt.wire_length
         self.levels_used[pkt.level] = self.levels_used.get(pkt.level, 0) + 1
-
-    def close_windows(self) -> None:
-        """The last packet has gone: observe the final window."""
-        if self._win_key is not None:
-            self._observe_window(self.core.clock())
-            self._win_key = None
 
     def _observe_window(self, now: float) -> None:
         divergence = self.core.divergence

@@ -426,7 +426,6 @@ class MessageSender:
                         break
                     pkt = nxt
                 sendall_vectors(self.endpoint, vectors)
-            msg.close_windows()
         except BaseException:
             queue.close()  # unblock the dispatcher
             raise

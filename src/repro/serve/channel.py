@@ -550,9 +550,7 @@ class AdocChannel(_ChannelBase):
         msg.emitting(pkt)
 
     def _finish_message(self) -> None:
-        msg, self._tx = self._tx, None
-        # The last bandwidth window closes once the kernel has its bytes.
-        self._push([], [(None, SendMessage.close_windows, msg)])
+        self._tx = None
         self._next_message()
 
     def _push(self, vectors: list, marks=()) -> None:

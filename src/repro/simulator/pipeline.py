@@ -271,7 +271,6 @@ def simulate_adoc_message(
             yield sock.put(
                 ("chunk", wire_n, pkt.level, pkt.original_bytes), weight=wire_n
             )
-        msg.close_windows()
         sock.close()
 
     def link_proc():

@@ -125,7 +125,6 @@ def test_core_invariants_hold_for_any_schedule(
         if msg.inflight and (not pending or run.rng.random() < 0.5 or not msg.can_submit()):
             run.complete_one(completed in failures)
             completed += 1
-    msg.close_windows()
 
     total = sum(sizes)
     # Records' original sizes sum to the input, and so do the packets'.
@@ -222,3 +221,16 @@ def test_inflight_buffers_count_in_the_queue_signal():
     msg.buffer_done(b, len(buf))
     msg.buffer_done(c, len(buf))
     assert (msg.inflight, msg.pending_packets) == (0, 0)
+
+
+def test_the_unbounded_last_window_is_not_observed():
+    """A window is measured only once the next one starts."""
+    msg = SendCore(CFG, clock=FakeClock()).begin(None)
+    msg.start_pipeline()
+    msg.open_windows()
+    for buffer_id in range(3):
+        raw = Record(0, PACKET, bytes(PACKET))
+        for pkt in msg.packets([raw], buffer_id):
+            msg.emitting(pkt)
+    record = msg.core.divergence._records[0]
+    assert record.samples == 2  # buffers 0 and 1; buffer 2 has no successor

@@ -334,12 +334,19 @@ def test_default_config_adapts_to_a_slow_reader(loop):
 
 
 def test_adapts_again_after_an_incompressible_message(loop):
-    """The incompressible guard's holdoff ends with the packets it counts."""
+    """ASCII, then incompressible data, then ASCII on one channel.
+
+    The incompressible guard's holdoff must end with the packets it
+    counts, and the connection's bandwidth records must not carry the
+    second message's tail into a veto of the third message's levels.
+    """
     reactor, _ = loop
     a, b = socketpair_endpoints()
     cha = _wire(loop, AdocChannel, a, Collector(), config=DEFAULT_CONFIG)
     reader = AdocSocket(_DrainedAt(b, 10e6), READER_CFG)
     try:
+        first = _send_and_drain(loop, cha, reader, ascii_data(8 * 1024 * 1024, seed=21))
+        assert first >= 2.0
         _send_and_drain(loop, cha, reader, incompressible_data(4 * 1024 * 1024, seed=22))
         ratio = _send_and_drain(loop, cha, reader, ascii_data(8 * 1024 * 1024, seed=23))
         assert ratio >= 2.0
